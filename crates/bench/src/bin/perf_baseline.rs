@@ -25,10 +25,10 @@ use asha::core::{
     SyncSha,
 };
 use asha::metrics::JsonValue;
-use asha::sim::{ClusterSim, SimConfig, TraceMode};
+use asha::sim::{ClusterSim, SimConfig, SimEngine, TraceMode};
 use asha::space::SearchSpace;
 use asha::store::{
-    read_wal, replay_scheduler, BenchSpec, CommitPipeline, DeltaDoc, Durability, DurableRun,
+    read_wal, replay_scheduler, write_delta, BenchSpec, CommitPipeline, Durability, DurableRun,
     ExperimentMeta, RunOptions, SchedulerState, Snapshot, StoreFormat, StoredScheduler, WalRecord,
     WalWriter,
 };
@@ -41,6 +41,11 @@ use rand::SeedableRng;
 
 const R: f64 = 256.0;
 const ETA: f64 = 4.0;
+
+/// The delta-snapshot row's run: workers, and the completed jobs at its
+/// base checkpoint (the middle of a 12,000-job run).
+const DELTA_ROW_WORKERS: usize = 500;
+const DELTA_ROW_JOBS: usize = 6000;
 
 struct Opts {
     smoke: bool,
@@ -397,41 +402,22 @@ fn persistence(
     let snap_ms = start.elapsed().as_secs_f64() * 1000.0 / iters as f64;
     let snap_bytes = snap_written.1;
 
-    // Delta-snapshot write latency: advance the same scheduler a few
-    // hundred rounds — the state drift between two adjacent checkpoints of
-    // a live run — then time diff-against-base + delta write. This is the
-    // steady-state checkpoint price under a delta chain.
-    let base_doc = snap.to_json();
-    let mut extra_events = 0u64;
-    for i in 0..500 {
-        let d = replay_sched.suggest(&mut replay_rng);
-        extra_events += 1;
-        if let Some(job) = d.job() {
-            replay_sched.observe(Observation::for_job(&job, (i % 991) as f64));
-            extra_events += 1;
-        }
-    }
-    let next = Snapshot {
-        seq: 0,
-        events: replayed + extra_events,
-        scheduler: replay_sched.export_state(),
-        sampler: None,
-        rng: replay_rng.state(),
-        sim: None,
-    };
-    let next_doc = next.to_json();
+    // Delta-snapshot write latency: the store's own delta writer — what
+    // `DurableRun` calls on its job cadence — between two checkpoints of a
+    // 500-worker run, simulator state included, one default checkpoint
+    // cadence apart. This is the steady-state checkpoint price under a
+    // delta chain.
+    let (base, next) = checkpoint_pair(
+        bench,
+        DELTA_ROW_WORKERS,
+        DELTA_ROW_JOBS,
+        RunOptions::default().snapshot_jobs,
+    );
     let start = Instant::now();
     let mut delta_written = (snap_dir.clone(), 0u64);
     for _ in 0..iters {
-        let doc = DeltaDoc {
-            snap: 0,
-            delta: 1,
-            events: next.events,
-            patch: asha::store::delta::diff(&base_doc, &next_doc),
-        };
-        delta_written = doc
-            .write(&snap_dir, StoreFormat::BinaryV2)
-            .expect("delta write");
+        delta_written =
+            write_delta(&snap_dir, &base, &next, 1, StoreFormat::BinaryV2).expect("delta write");
     }
     let delta_ms = start.elapsed().as_secs_f64() * 1000.0 / iters as f64;
     let delta_bytes = delta_written.1;
@@ -491,7 +477,7 @@ fn persistence(
         "  persistence replay:     {replayed:>8} events in {replay_secs:>7.3}s = {replay_per_sec:>12.0} events/s"
     );
     println!(
-        "  persistence snapshot:   full {snap_ms:>7.3} ms ({snap_bytes} B), delta {delta_ms:>7.3} ms ({delta_bytes} B), budget 100 ms"
+        "  persistence snapshot:   full {snap_ms:>7.3} ms ({snap_bytes} B), delta {delta_ms:>7.3} ms ({delta_bytes} B, {DELTA_ROW_WORKERS}-worker run), budget 100 ms"
     );
     println!(
         "  persistence group commit: {group_requests} requests -> {group_fsyncs} fsyncs = {amortization:.1}x amortization ({group_wals} WALs, 2 ms window)"
@@ -518,6 +504,14 @@ fn persistence(
         ("snapshot_bytes", JsonValue::Int(snap_bytes)),
         ("snapshot_delta_write_ms", JsonValue::Num(delta_ms)),
         ("snapshot_delta_bytes", JsonValue::Int(delta_bytes)),
+        (
+            "snapshot_delta_workers",
+            JsonValue::Int(DELTA_ROW_WORKERS as u64),
+        ),
+        (
+            "snapshot_delta_base_jobs",
+            JsonValue::Int(DELTA_ROW_JOBS as u64),
+        ),
         ("snapshot_budget_ms", JsonValue::Num(100.0)),
         ("group_commit_window_ms", JsonValue::Num(2.0)),
         ("group_commit_wals", JsonValue::Int(group_wals as u64)),
@@ -537,6 +531,36 @@ fn persistence(
             ]),
         ),
     ])
+}
+
+/// Two checkpoints of a durable run of ASHA on `workers` simulated workers,
+/// the first after `at_jobs` completed jobs and the second `cadence` jobs
+/// later: the scheduler, RNG and simulator state `DurableRun` exports.
+fn checkpoint_pair(
+    bench: &dyn BenchmarkModel,
+    workers: usize,
+    at_jobs: usize,
+    cadence: usize,
+) -> (Snapshot, Snapshot) {
+    use asha::core::telemetry::NoopRecorder;
+    let sim = SimConfig::new(workers, f64::MAX).with_max_jobs(at_jobs + cadence + workers);
+    let mut engine = SimEngine::new(sim, StoredScheduler::Asha(make_asha(bench)), bench);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut checkpoint_at = |jobs: usize| {
+        while engine.jobs_completed() < jobs {
+            assert!(engine.step(&mut rng, &mut NoopRecorder), "run ended early");
+        }
+        Snapshot {
+            seq: 0,
+            events: engine.jobs_completed() as u64,
+            scheduler: engine.scheduler().export_state(),
+            sampler: None,
+            rng: rng.state(),
+            sim: Some(engine.export_state()),
+        }
+    };
+    let base = checkpoint_at(at_jobs);
+    (base, checkpoint_at(at_jobs + cadence))
 }
 
 fn make_asha(bench: &dyn BenchmarkModel) -> Asha {

@@ -10,10 +10,17 @@
 //!   `null`, so they are encoded as the strings `"inf"` / `"-inf"` /
 //!   `"nan"` instead ([`float_to_json`]); decoding also accepts `null` as
 //!   `+inf` for compatibility with the telemetry log's null-loss
-//!   convention.
+//!   convention. Every NaN encodes as `"nan"`, so a NaN payload does not
+//!   survive: it decodes as the canonical `f64::NAN`.
 //! * **Deterministic bytes.** Object keys are emitted in a fixed order and
 //!   the state structs sort their collections, so the same logical state
 //!   always encodes to the same bytes.
+//!
+//! Collections are encoded element by element through public per-element
+//! encoders ([`trace_event_to_json`], [`slot_to_json`],
+//! [`trial_loss_pair_to_json`], …). The typed delta builder
+//! ([`crate::patch`]) encodes only changed elements, through the same
+//! functions, so a patched document equals a freshly encoded one.
 //!
 //! All decoders return `Err(String)` describing the first mismatch; callers
 //! wrap that into an [`ErrorKind::Corrupt`](asha_core::ErrorKind::Corrupt) error with
@@ -362,13 +369,13 @@ pub fn hyperband_config_from_json(v: &JsonValue) -> Result<HyperbandConfig, Erro
     Ok(c)
 }
 
+/// Encode one `(trial, loss)` pair (a rung record or bracket result).
+pub fn trial_loss_pair_to_json(&(t, l): &(u64, f64)) -> JsonValue {
+    JsonValue::Arr(vec![JsonValue::Int(t), float_to_json(l)])
+}
+
 fn trial_loss_pairs_to_json(pairs: &[(u64, f64)]) -> JsonValue {
-    JsonValue::Arr(
-        pairs
-            .iter()
-            .map(|&(t, l)| JsonValue::Arr(vec![JsonValue::Int(t), float_to_json(l)]))
-            .collect(),
-    )
+    JsonValue::Arr(pairs.iter().map(trial_loss_pair_to_json).collect())
 }
 
 fn trial_loss_pairs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, f64)>, Error> {
@@ -403,13 +410,13 @@ fn u64s_from_json(v: &JsonValue, what: &str) -> Result<Vec<u64>, Error> {
         .collect()
 }
 
+/// Encode one `(trial, config)` pair (a scheduler's trial table entry).
+pub fn trial_config_to_json((t, c): &(u64, Config)) -> JsonValue {
+    JsonValue::Arr(vec![JsonValue::Int(*t), config_to_json(c)])
+}
+
 fn trial_configs_to_json(trials: &[(u64, Config)]) -> JsonValue {
-    JsonValue::Arr(
-        trials
-            .iter()
-            .map(|(t, c)| JsonValue::Arr(vec![JsonValue::Int(*t), config_to_json(c)]))
-            .collect(),
-    )
+    JsonValue::Arr(trials.iter().map(trial_config_to_json).collect())
 }
 
 fn trial_configs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, Config)>, Error> {
@@ -429,7 +436,8 @@ fn trial_configs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, Config
         .collect()
 }
 
-fn rung_state_to_json(r: &RungState) -> JsonValue {
+/// Encode one rung's history.
+pub fn rung_state_to_json(r: &RungState) -> JsonValue {
     JsonValue::obj([
         ("records", trial_loss_pairs_to_json(&r.records)),
         ("promoted", u64s_to_json(&r.promoted)),
@@ -443,6 +451,11 @@ fn rung_state_from_json(v: &JsonValue) -> Result<RungState, Error> {
     })
 }
 
+/// Encode one issued-but-unreported `(trial, rung)` job.
+pub fn outstanding_to_json(&(t, k): &(u64, usize)) -> JsonValue {
+    JsonValue::Arr(vec![JsonValue::Int(t), JsonValue::Int(k as u64)])
+}
+
 /// Encode an [`AshaState`].
 pub fn asha_state_to_json(s: &AshaState) -> JsonValue {
     JsonValue::obj([
@@ -454,14 +467,7 @@ pub fn asha_state_to_json(s: &AshaState) -> JsonValue {
         ("trials", trial_configs_to_json(&s.trials)),
         (
             "outstanding",
-            JsonValue::Arr(
-                s.outstanding
-                    .iter()
-                    .map(|&(t, k)| {
-                        JsonValue::Arr(vec![JsonValue::Int(t), JsonValue::Int(k as u64)])
-                    })
-                    .collect(),
-            ),
+            JsonValue::Arr(s.outstanding.iter().map(outstanding_to_json).collect()),
         ),
         ("next_trial", JsonValue::Int(s.next_trial)),
         ("trials_started", JsonValue::Int(s.trials_started as u64)),
@@ -668,7 +674,8 @@ fn training_state_from_json(v: &JsonValue) -> Result<TrainingState, Error> {
     })
 }
 
-fn fault_stats_to_json(f: &FaultStats) -> JsonValue {
+/// Encode a [`FaultStats`] tally.
+pub fn fault_stats_to_json(f: &FaultStats) -> JsonValue {
     JsonValue::obj([
         ("dropped", JsonValue::Int(f.jobs_dropped as u64)),
         ("retried", JsonValue::Int(f.jobs_retried as u64)),
@@ -688,7 +695,8 @@ fn fault_stats_from_json(v: &JsonValue) -> Result<FaultStats, Error> {
     })
 }
 
-fn trace_event_to_json(e: &TraceEvent) -> JsonValue {
+/// Encode one completion-trace event.
+pub fn trace_event_to_json(e: &TraceEvent) -> JsonValue {
     JsonValue::obj([
         ("time", float_to_json(e.time)),
         ("trial", JsonValue::Int(e.trial)),
@@ -764,6 +772,38 @@ pub fn sim_config_from_json(v: &JsonValue) -> Result<SimConfig, Error> {
     Ok(c)
 }
 
+/// Encode the simulator's incumbent `(config, val_loss, resource)`.
+pub fn best_config_to_json(best: &Option<(Config, f64, f64)>) -> JsonValue {
+    match best {
+        Some((c, loss, resource)) => JsonValue::obj([
+            ("config", config_to_json(c)),
+            ("loss", float_to_json(*loss)),
+            ("resource", float_to_json(*resource)),
+        ]),
+        None => JsonValue::Null,
+    }
+}
+
+/// Encode one trial's simulator bookkeeping.
+pub fn slot_to_json(slot: &TrialSlotState) -> JsonValue {
+    JsonValue::obj([
+        ("trial", JsonValue::Int(slot.trial)),
+        ("state", training_state_to_json(&slot.state)),
+        ("time_per_unit", float_to_json(slot.time_per_unit)),
+        ("completed", JsonValue::Bool(slot.completed)),
+    ])
+}
+
+/// Encode one in-flight job of the simulator's event heap.
+pub fn pending_job_to_json(p: &PendingJob) -> JsonValue {
+    JsonValue::obj([
+        ("time", float_to_json(p.time)),
+        ("seq", JsonValue::Int(p.seq)),
+        ("job", job_to_json(&p.job)),
+        ("dropped", JsonValue::Bool(p.dropped)),
+    ])
+}
+
 /// Encode a [`SimRunState`].
 pub fn sim_run_state_to_json(s: &SimRunState) -> JsonValue {
     JsonValue::obj([
@@ -775,48 +815,14 @@ pub fn sim_run_state_to_json(s: &SimRunState) -> JsonValue {
         ("faults", fault_stats_to_json(&s.faults)),
         ("scheduler_finished", JsonValue::Bool(s.scheduler_finished)),
         ("incumbent_val", float_to_json(s.incumbent_val)),
-        (
-            "best_config",
-            match &s.best_config {
-                Some((c, loss, resource)) => JsonValue::obj([
-                    ("config", config_to_json(c)),
-                    ("loss", float_to_json(*loss)),
-                    ("resource", float_to_json(*resource)),
-                ]),
-                None => JsonValue::Null,
-            },
-        ),
+        ("best_config", best_config_to_json(&s.best_config)),
         (
             "slots",
-            JsonValue::Arr(
-                s.slots
-                    .iter()
-                    .map(|slot| {
-                        JsonValue::obj([
-                            ("trial", JsonValue::Int(slot.trial)),
-                            ("state", training_state_to_json(&slot.state)),
-                            ("time_per_unit", float_to_json(slot.time_per_unit)),
-                            ("completed", JsonValue::Bool(slot.completed)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            JsonValue::Arr(s.slots.iter().map(slot_to_json).collect()),
         ),
         (
             "pending",
-            JsonValue::Arr(
-                s.pending
-                    .iter()
-                    .map(|p| {
-                        JsonValue::obj([
-                            ("time", float_to_json(p.time)),
-                            ("seq", JsonValue::Int(p.seq)),
-                            ("job", job_to_json(&p.job)),
-                            ("dropped", JsonValue::Bool(p.dropped)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            JsonValue::Arr(s.pending.iter().map(pending_job_to_json).collect()),
         ),
         (
             "retry",

@@ -1,11 +1,14 @@
-//! Structural diffs over snapshot documents: the delta-snapshot engine.
+//! Structural patches over snapshot documents: the grammar delta snapshots
+//! are written in.
 //!
-//! A delta snapshot stores [`diff`]`(previous_doc, current_doc)` instead of
-//! the full document, so steady-state checkpoint cost is proportional to
-//! what changed (new rung records, promoted-set updates, appended trace
-//! events, sampler cursors) rather than to total state size. Recovery
-//! rebuilds the full document by [`apply`]ing each delta in chain order on
-//! top of the newest full snapshot.
+//! A delta snapshot stores a patch from the previous checkpoint's document
+//! to the current one instead of the full document. Recovery rebuilds the
+//! full document by [`apply`]ing each delta in chain order on top of the
+//! newest full snapshot. The store's writer builds its patches from the
+//! two typed states ([`crate::patch::snapshot_patch`]); [`diff`] is the
+//! generic twin over two documents, kept as the reference the typed
+//! builder is tested against. `diff` walks both whole trees, so its cost
+//! is proportional to the total state, not to what changed.
 //!
 //! The invariant everything rests on: for any two documents,
 //! `apply(base, &diff(base, new))` reproduces `new` **exactly** — same key

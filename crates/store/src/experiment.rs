@@ -359,16 +359,16 @@ impl RunOptionsBuilder {
 }
 
 /// The in-memory tail of the delta chain: which full snapshot it hangs
-/// off, how long it is, and the previous checkpoint's document (diff base).
+/// off, how long it is, and the previous checkpoint's state (diff base).
 #[derive(Debug)]
 struct ChainState {
     /// Base full snapshot's sequence number.
     snap: u64,
     /// Deltas written on top so far.
     len: u64,
-    /// The previous checkpoint's JSON document (full or patched), kept as
-    /// the base for the next structural diff.
-    doc: JsonValue,
+    /// The previous checkpoint's typed state (exported live, or decoded on
+    /// resume), kept as the base for the next [`patch::snapshot_patch`].
+    base: Snapshot,
 }
 
 /// A simulated tuning run with durable state: every telemetry event goes to
@@ -478,6 +478,7 @@ impl<'b> DurableRun<'b> {
             })?;
         }
         let snap = Snapshot::from_json(&doc).map_err(|e| e.corrupt_at(&snap_path))?;
+        drop(doc);
         if snap.events != marker.events {
             return Err(StoreError::corrupt(
                 &snap_path,
@@ -488,6 +489,15 @@ impl<'b> DurableRun<'b> {
             ));
         }
         truncate_after_marker(&wal_path, &contents, marker)?;
+        // Reopen the delta chain exactly where the marker left it, with the
+        // decoded checkpoint as its base, so the post-recovery checkpoint
+        // schedule (and hence every file written from here on) matches the
+        // uninterrupted run's byte for byte.
+        let chain = (opts.delta_chain > 0).then(|| ChainState {
+            snap: marker.snap,
+            len: marker.delta,
+            base: snap.clone(),
+        });
         let sim_state = snap.sim.ok_or_else(|| {
             StoreError::corrupt(&snap_path, "snapshot has no simulator state to resume")
         })?;
@@ -518,14 +528,6 @@ impl<'b> DurableRun<'b> {
             event: StoreEvent::Resumed,
         })?;
         let jobs = engine.jobs_completed();
-        // Reopen the delta chain exactly where the marker left it, so the
-        // post-recovery checkpoint schedule (and hence every file written
-        // from here on) matches the uninterrupted run's byte for byte.
-        let chain = (opts.delta_chain > 0).then_some(ChainState {
-            snap: marker.snap,
-            len: marker.delta,
-            doc,
-        });
         Ok(DurableRun {
             dir: dir.to_owned(),
             engine,
@@ -669,29 +671,16 @@ impl<'b> DurableRun<'b> {
             let chain = self.chain.as_mut().expect("can_delta checked chain");
             // The delta keeps the base snapshot's seq: patching the chain
             // onto the base must reproduce this document exactly.
-            let snap = Snapshot {
-                seq: chain.snap,
-                events,
-                scheduler: self.engine.scheduler().export_state(),
-                sampler: self.engine.scheduler().export_sampler_spec(),
-                rng: self.rng.state(),
-                sim: Some(self.engine.export_state()),
-            };
-            let doc = snap.to_json();
+            let snap = export_snapshot(&self.engine, &self.rng, chain.snap, events);
             let delta = chain.len + 1;
-            let delta_doc = DeltaDoc {
-                snap: chain.snap,
-                delta,
-                events,
-                patch: delta::diff(&chain.doc, &doc),
-            };
-            let (_, bytes) = delta_doc.write(&self.dir, self.opts.format)?;
+            let (_, bytes) =
+                snapshot::write_delta(&self.dir, &chain.base, &snap, delta, self.opts.format)?;
             if let (Some(m), Some(t0)) = (&self.metrics, start) {
                 m.snapshot_delta_write.observe_duration(t0.elapsed());
                 m.snapshot_delta_bytes.add(bytes);
             }
             chain.len = delta;
-            chain.doc = doc;
+            chain.base = snap;
             SnapMarker::Delta {
                 snap: chain.snap,
                 delta,
@@ -699,24 +688,17 @@ impl<'b> DurableRun<'b> {
             }
         } else {
             let seq = self.next_snap;
-            let snap = Snapshot {
-                seq,
-                events,
-                scheduler: self.engine.scheduler().export_state(),
-                sampler: self.engine.scheduler().export_sampler_spec(),
-                rng: self.rng.state(),
-                sim: Some(self.engine.export_state()),
-            };
+            let snap = export_snapshot(&self.engine, &self.rng, seq, events);
             let (_, bytes) = snap.write(&self.dir, self.opts.format)?;
             if let (Some(m), Some(t0)) = (&self.metrics, start) {
                 m.snapshot_write.observe_duration(t0.elapsed());
                 m.snapshot_full_bytes.add(bytes);
             }
             self.next_snap = seq + 1;
-            self.chain = (self.opts.delta_chain > 0).then(|| ChainState {
+            self.chain = (self.opts.delta_chain > 0).then_some(ChainState {
                 snap: seq,
                 len: 0,
-                doc: snap.to_json(),
+                base: snap,
             });
             SnapMarker::Full { snap: seq, events }
         };
@@ -735,6 +717,24 @@ impl<'b> DurableRun<'b> {
     /// Finish and produce the run's [`SimResult`].
     pub fn into_result(self) -> SimResult {
         self.engine.into_result()
+    }
+}
+
+/// The run's full state as a checkpoint numbered `seq` covering `events`
+/// telemetry events.
+fn export_snapshot(
+    engine: &SimEngine<'_, StoredScheduler>,
+    rng: &StdRng,
+    seq: u64,
+    events: u64,
+) -> Snapshot {
+    Snapshot {
+        seq,
+        events,
+        scheduler: engine.scheduler().export_state(),
+        sampler: engine.scheduler().export_sampler_spec(),
+        rng: rng.state(),
+        sim: Some(engine.export_state()),
     }
 }
 

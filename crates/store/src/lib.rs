@@ -7,7 +7,7 @@
 //! fsync discipline ([`Durability`]), and on a job cadence the full run
 //! state — scheduler rungs/brackets, sampler cursors, raw RNG words, and
 //! the simulator's event loop — is checkpointed: a full snapshot file, or
-//! a *delta* (a structural diff against the previous checkpoint) while the
+//! a *delta* (a typed patch against the previous checkpoint) while the
 //! chain stays short. How any of this becomes bytes is a [`StoreFormat`]'s
 //! business: `jsonl-v1` (one JSON object per line / per file, the original
 //! dialect) and `binary-v2` (length-prefixed, CRC-guarded frames) are both
@@ -29,8 +29,10 @@
 //! - [`format`]: the versioned codec API — [`WalCodec`] and
 //!   [`SnapshotCodec`] traits, the [`StoreFormat`] registry, and per-file
 //!   dialect detection.
-//! - [`delta`]: structural diff/patch over JSON documents, the engine
-//!   behind delta snapshots.
+//! - [`delta`]: the patch grammar over JSON documents — [`delta::apply`],
+//!   which recovery runs, and the generic [`delta::diff`].
+//! - [`patch`]: the typed delta builder: the patch between two exported
+//!   run states, section by section, encoding only what changed.
 //! - [`wal`]: the append-only log of typed [`WalRecord`]s — scheduler
 //!   decisions, job events, checkpoint markers, lifecycle events — with
 //!   torn-tail-tolerant reading in either dialect.
@@ -99,6 +101,7 @@ mod error;
 pub mod experiment;
 pub mod format;
 pub mod metrics;
+pub mod patch;
 pub mod snapshot;
 pub mod supervisor;
 pub mod tail;
@@ -113,8 +116,8 @@ pub use crate::experiment::{
 pub use crate::format::{DecodeStep, EncodeBuf, SnapshotCodec, StoreFormat, WalCodec};
 pub use crate::metrics::StoreMetrics;
 pub use crate::snapshot::{
-    delta_file_name, list_snapshots, load_latest, make_sampler, read_document, write_document,
-    DeltaDoc, SamplerSpec, SchedulerState, Snapshot, StoredScheduler, DELTA_SCHEMA,
+    delta_file_name, list_snapshots, load_latest, make_sampler, read_document, write_delta,
+    write_document, DeltaDoc, SamplerSpec, SchedulerState, Snapshot, StoredScheduler, DELTA_SCHEMA,
     SNAPSHOT_SCHEMA,
 };
 pub use crate::supervisor::{

@@ -4,15 +4,19 @@
 //! A snapshot is everything needed to continue a run bit-for-bit: the
 //! scheduler's exported state, the raw RNG state words, and (for simulated
 //! runs) the simulator's [`SimRunState`]. Between full snapshots the store
-//! may write *delta* documents — structural diffs (see [`crate::delta`])
-//! against the previous checkpoint — so steady-state checkpoint cost is
-//! proportional to change. All checkpoint files are written crash-safely —
-//! encoded to a temp file, fsynced, renamed into place, directory fsynced —
-//! so a crash mid-write never damages the previous checkpoint, and
-//! recovery can always fall back along the chain. Bytes on disk are
-//! whatever the [`SnapshotCodec`](crate::format::SnapshotCodec) produces;
-//! readers sniff the dialect per file, so chains may mix dialects (e.g.
-//! binary deltas atop a v1 JSON full snapshot).
+//! may write *delta* documents — patches (see [`crate::delta`]) against the
+//! previous checkpoint, built from the two typed states by
+//! [`crate::patch`]. A delta costs one typed comparison pass over the state
+//! plus encoding what changed; the sections that churn (the simulator's
+//! pending jobs, outstanding jobs) are rewritten whole, so a delta is
+//! small against a late-run full snapshot but not proportional to the few
+//! jobs that finished since the last one. All checkpoint files are written
+//! crash-safely — encoded to a temp file, fsynced, renamed into place,
+//! directory fsynced — so a crash mid-write never damages the previous
+//! checkpoint, and recovery can always fall back along the chain. Bytes on
+//! disk are whatever the [`SnapshotCodec`](crate::format::SnapshotCodec)
+//! produces; readers sniff the dialect per file, so chains may mix dialects
+//! (e.g. binary deltas atop a v1 JSON full snapshot).
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -561,6 +565,28 @@ impl DeltaDoc {
     }
 }
 
+/// Write delta number `delta` of the chain on full snapshot `new.seq`: the
+/// typed patch from the previous checkpoint `base` to `new`, crash-safely,
+/// in `format`. Returns the final path and the encoded size in bytes.
+///
+/// This is the store's delta-checkpoint writer; [`crate::DurableRun`] calls
+/// it on its job cadence.
+pub fn write_delta(
+    dir: &Path,
+    base: &Snapshot,
+    new: &Snapshot,
+    delta: u64,
+    format: StoreFormat,
+) -> Result<(PathBuf, u64), StoreError> {
+    DeltaDoc {
+        snap: new.seq,
+        delta,
+        events: new.events,
+        patch: crate::patch::snapshot_patch(base, new),
+    }
+    .write(dir, format)
+}
+
 /// Write a checkpoint document crash-safely into `dir`: encode with
 /// `format`'s codec to a temp file, fsync, rename into place, fsync the
 /// directory. Returns the final path and encoded size.
@@ -590,13 +616,27 @@ pub fn read_document(path: &Path) -> Result<JsonValue, StoreError> {
 }
 
 /// Fsync a directory so a just-renamed file's entry is durable (POSIX
-/// requires syncing the containing directory, not just the file).
+/// requires syncing the containing directory, not just the file). A failed
+/// open or sync is an error: the caller's checkpoint is not durable, so its
+/// WAL marker must not be written.
+#[cfg(unix)]
 pub fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
-    // Opening a directory read-only for fsync works on Linux; on platforms
-    // where it does not, durability degrades gracefully to writeback.
-    if let Ok(f) = File::open(dir) {
-        let _ = f.sync_all();
-    }
+    // `Path::parent` of a bare file name is the empty path: the working
+    // directory.
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    File::open(dir)
+        .and_then(|f| f.sync_all())
+        .map_err(|e| StoreError::io(dir, e))
+}
+
+/// Directories cannot be opened for fsync here; a renamed file's entry is
+/// as durable as the platform's writeback makes it.
+#[cfg(not(unix))]
+pub fn fsync_dir(_dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
@@ -636,4 +676,38 @@ pub fn load_latest(dir: &Path) -> Result<Option<(Snapshot, PathBuf)>, StoreError
         }
     }
     Ok(None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ErrorKind;
+
+    fn removed_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("asha-store-gone-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn fsync_dir_reports_a_directory_it_cannot_sync() {
+        let dir = removed_dir("fsync");
+        let err = fsync_dir(&dir).expect_err("a removed directory cannot be synced");
+        assert_eq!(err.kind(), ErrorKind::Io);
+    }
+
+    #[test]
+    fn writing_a_document_into_a_removed_directory_fails() {
+        let dir = removed_dir("write");
+        let doc = JsonValue::obj([("k", JsonValue::Int(1))]);
+        for format in [StoreFormat::BinaryV2, StoreFormat::JsonlV1] {
+            let err = write_document(&dir, "doc", &doc, format)
+                .expect_err("no checkpoint is durable in a removed directory");
+            assert_eq!(err.kind(), ErrorKind::Io);
+        }
+        assert!(!dir.exists());
+    }
 }
